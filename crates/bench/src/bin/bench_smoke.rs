@@ -5,10 +5,13 @@
 
 use realtor_agile::codec::{decode_message, encode_message};
 use realtor_bench::{bench_scenario, Runner};
-use realtor_core::{Message, Pledge, ProtocolKind};
+use realtor_core::{
+    Actions, DiscoveryProtocol, Help, LocalView, Message, Pledge, ProtocolConfig, ProtocolKind,
+    Realtor,
+};
 use realtor_sim::{run_scenario, run_scenario_profiled, run_scenario_traced_profiled};
 use realtor_simcore::trace::{Severity, Tracer};
-use realtor_simcore::{EventQueue, HeapQueue, SimRng, SimTime};
+use realtor_simcore::{EventQueue, HeapQueue, SimDuration, SimRng, SimTime};
 use std::io::Write as _;
 
 /// Number of events kept pending during the deep-queue stress phase: the
@@ -55,6 +58,43 @@ macro_rules! stress_workload {
         }
         check
     }};
+}
+
+/// Mean wall-clock nanoseconds per `Realtor::on_message(HELP)` on a host
+/// that is a live member of `communities` communities and answers every
+/// HELP with a PLEDGE (the reply carries its community count). The HELPs
+/// cycle through the organizers 1 µs of simulated time apart, so every
+/// membership stays live and each call refreshes one.
+fn help_reply_ns(communities: usize, calls: usize) -> f64 {
+    let me = communities; // organizers are 0..communities
+    let mut host = Realtor::new(me, ProtocolConfig::paper());
+    let view = LocalView::new(80.0, 100.0);
+    let helps: Vec<Message> = (0..communities)
+        .map(|organizer| {
+            Message::Help(Help {
+                organizer,
+                member_count: 0,
+                urgency: 0.5,
+                relay_ttl: 0,
+            })
+        })
+        .collect();
+    let mut out = Actions::new();
+    let mut now = SimTime::ZERO;
+    let mut deliver = |i: usize, out: &mut Actions| {
+        now = now.saturating_add(SimDuration::from_ticks(1_000));
+        let organizer = i % communities;
+        host.on_message(now, organizer, &helps[organizer], view, out);
+        std::hint::black_box(out.drain().count());
+    };
+    for i in 0..communities {
+        deliver(i, &mut out);
+    }
+    let t0 = std::time::Instant::now();
+    for i in 0..calls {
+        deliver(i, &mut out);
+    }
+    t0.elapsed().as_nanos() as f64 / calls as f64
 }
 
 fn main() {
@@ -210,6 +250,36 @@ fn main() {
     writeln!(f, "{line}").expect("write queue stress record");
     println!(
         "smoke/queue_stress: ladder {ladder_ns} ns vs heap {heap_ns} ns (median pair ratio {ratio:.2}x) at {STRESS_PENDING} pending"
+    );
+
+    // HELP-reply flatness gate: the cost of answering one HELP must not
+    // grow with the number of communities the host belongs to (the reply's
+    // community count is kept incrementally, not scanned). The two sizes
+    // run as interleaved pairs and the gate reads the median per-pair
+    // ratio, a machine-independent number: a per-reply scan makes it grow
+    // with the membership count, the incremental count keeps it near 1.
+    const HELP_CALLS: usize = 200_000;
+    let (mut ratios, mut small_ns, mut large_ns) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..7 {
+        let small = help_reply_ns(25, HELP_CALLS);
+        let large = help_reply_ns(1_024, HELP_CALLS);
+        ratios.push(large / small);
+        small_ns.push(small);
+        large_ns.push(large);
+    }
+    for v in [&mut ratios, &mut small_ns, &mut large_ns] {
+        v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    }
+    let (ratio, small, large) = (ratios[3], small_ns[3], large_ns[3]);
+    let line = format!(
+        "{{\"group\":\"smoke/help_reply\",\"name\":\"on_message_help\",\
+         \"ns_per_reply_25\":{small:.1},\"ns_per_reply_1024\":{large:.1},\
+         \"ratio_1024_over_25\":{ratio:.3}}}"
+    );
+    writeln!(f, "{line}").expect("write help reply record");
+    println!(
+        "smoke/help_reply: {small:.0} ns per HELP reply at 25 memberships, {large:.0} ns at 1024 \
+         (median pair ratio {ratio:.2}x)"
     );
 
     // Tracing-overhead gate (A19): the same deterministic run untraced,

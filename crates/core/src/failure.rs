@@ -14,7 +14,7 @@
 //! further [`FailureDetectorConfig::confirm_after`] of silence **confirms**
 //! the failure. Confirmation is reported exactly once per outage to the
 //! owning protocol, which tears down the peer's soft state (explicit
-//! community [`leave`](crate::community::MembershipTable::leave), candidate
+//! community [`remove`](crate::community::SoftStateTable::remove), candidate
 //! eviction) and notifies the environment. Any later message from the peer
 //! revives it — a *false suspicion* the environment can meter but that the
 //! detector survives, exactly like the eventually-perfect detectors of the

@@ -18,7 +18,7 @@
 //! the organizer's last HELP, so dead organizers stop receiving updates and
 //! dead members age out of pledge lists.
 
-use crate::community::{MembershipTable, OwnCommunity};
+use crate::community::SoftStateTable;
 use crate::config::ProtocolConfig;
 use crate::failure::FailureDetector;
 use crate::help::{HelpController, HelpDecision, HelpMode};
@@ -41,8 +41,10 @@ pub struct Realtor {
     cfg: ProtocolConfig,
     help: HelpController,
     policy: PledgePolicy,
-    memberships: MembershipTable,
-    own_community: OwnCommunity,
+    /// Communities this host is a member of, keyed by organizer.
+    memberships: SoftStateTable,
+    /// The community this host organizes: its pledged members.
+    own_community: SoftStateTable,
     store: AvailabilityStore,
     /// Queue demand (seconds) of the most recent task that needed help;
     /// used for the "a node is found for migration" reward test.
@@ -62,8 +64,8 @@ impl Realtor {
             me,
             help: HelpController::new(&cfg, HelpMode::Adaptive),
             policy: PledgePolicy::new(&cfg, 0.0),
-            memberships: MembershipTable::new(cfg.membership_ttl),
-            own_community: OwnCommunity::new(cfg.membership_ttl),
+            memberships: SoftStateTable::new(cfg.membership_ttl),
+            own_community: SoftStateTable::new(cfg.membership_ttl),
             store: AvailabilityStore::new(),
             last_need_secs: 0.0,
             detector: cfg.failure_detector.map(FailureDetector::new),
@@ -124,7 +126,7 @@ impl Realtor {
             );
         }
         for &peer in &report.confirmed {
-            self.memberships.leave(peer);
+            self.memberships.remove(peer);
             self.own_community.remove(peer);
             self.store.forget(peer);
             out.declare_dead(peer);
@@ -181,7 +183,7 @@ impl DiscoveryProtocol for Realtor {
         match self.help.on_task_arrival(now, local.queue_frac) {
             HelpDecision::SendHelp { timer_gen, wait } => {
                 let urgency = self.urgency(local.queue_frac);
-                let member_count = self.own_community.member_count(now);
+                let member_count = self.own_community.count(now);
                 out.flood(Message::Help(Help {
                     organizer: self.me,
                     member_count,
@@ -208,7 +210,7 @@ impl DiscoveryProtocol for Realtor {
         if self.policy.observe(local.queue_frac).is_some() {
             // Unsolicited update to every community we currently belong to.
             let pledge = self.make_pledge(now, local);
-            for organizer in self.memberships.current(now) {
+            for organizer in self.memberships.live(now) {
                 out.unicast(organizer, Message::Pledge(pledge));
                 if self.tracer.records(TraceKind::PledgeSend) {
                     self.tracer.emit(
@@ -294,7 +296,7 @@ impl DiscoveryProtocol for Realtor {
                 }
             }
             Message::Pledge(p) => {
-                self.own_community.pledge_received(p.pledger, now);
+                self.own_community.refresh(p.pledger, now);
                 // Duplicate/out-of-order deliveries (unreliable channel) are
                 // rejected by the watermark and never reward Algorithm H.
                 let fresh = self
@@ -376,8 +378,8 @@ impl DiscoveryProtocol for Realtor {
 
     fn on_reset(&mut self, now: SimTime) {
         self.help.reset();
-        self.memberships = MembershipTable::new(self.cfg.membership_ttl);
-        self.own_community = OwnCommunity::new(self.cfg.membership_ttl);
+        self.memberships = SoftStateTable::new(self.cfg.membership_ttl);
+        self.own_community = SoftStateTable::new(self.cfg.membership_ttl);
         self.store = AvailabilityStore::new();
         self.policy = PledgePolicy::new(&self.cfg, 0.0);
         self.last_need_secs = 0.0;

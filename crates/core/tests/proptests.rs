@@ -1,11 +1,13 @@
 //! Property-based tests for the protocol building blocks, on the in-tree
 //! `check` harness.
 
+use realtor_core::community::SoftStateTable;
 use realtor_core::config::{CandidatePolicy, ProtocolConfig};
 use realtor_core::help::{HelpController, HelpDecision, HelpMode};
 use realtor_core::pledge::{AvailabilityStore, Crossing, PledgePolicy};
 use realtor_simcore::prelude::*;
 use realtor_simcore::{prop_assert, prop_assert_eq, prop_assert_ne};
+use std::collections::BTreeMap;
 
 fn cfg() -> ProtocolConfig {
     ProtocolConfig::paper()
@@ -221,4 +223,102 @@ fn most_headroom_is_maximal() {
             Ok(())
         },
     );
+}
+
+/// One step of a soft-state history: `(op, id, clock step in ticks)`.
+/// The clock moves before the op; a negative step models a wall clock
+/// that went back. Ops: 0 refresh, 1 remove, 2 remove then refresh at the
+/// same instant, 3 purge, 4 count, 5 is_live, 6 live listing.
+type SoftOp = (u8, u8, i64);
+
+const SOFT_TTL: u64 = 20;
+
+fn soft_op(r: &mut SimRng) -> SoftOp {
+    let step = match gen::u8_in(r, 0, 100) {
+        0..=34 => 0,                                 // same instant
+        35..=79 => gen::i64_in(r, 1, 8),             // within the TTL
+        80..=91 => gen::i64_in(r, 21, 60),           // past the TTL
+        _ => gen::i64_in(r, -30, 0),                 // clock steps back
+    };
+    (gen::u8_in(r, 0, 7), gen::u8_in(r, 0, 24), step)
+}
+
+/// The soft-state table agrees with a naive `BTreeMap` of refresh times
+/// on every refresh/remove/purge/count/is_live/live, on any clock. The
+/// debug-build cross-check inside `count` runs too; its panic is turned
+/// into a failure so the case seed is still reported.
+#[test]
+fn soft_state_table_matches_naive_oracle() {
+    forall(
+        "soft_state_table_matches_naive_oracle",
+        0x50F7_57A7E,
+        512,
+        |r| gen::vec(r, 1, 200, soft_op),
+        |ops| {
+            std::panic::catch_unwind(|| soft_state_history(ops)).unwrap_or_else(|panic| {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied());
+                Err(format!("table panicked: {}", msg.unwrap_or("?")))
+            })
+        },
+    );
+}
+
+fn soft_state_history(ops: &[SoftOp]) -> PropResult {
+    let ttl = SimDuration::from_ticks(SOFT_TTL);
+    let mut table = SoftStateTable::new(ttl);
+    let mut oracle: BTreeMap<usize, u64> = BTreeMap::new();
+    let live_at = |t: u64, now: u64| now.saturating_sub(t) <= SOFT_TTL;
+    let mut now = 100u64;
+    let mut latest = now;
+    for &(op, id, step) in ops {
+        now = now.saturating_add_signed(step);
+        latest = latest.max(now);
+        let (id, at) = (id as usize, SimTime::from_ticks(now));
+        match op {
+            0 | 2 => {
+                if op == 2 {
+                    table.remove(id);
+                    oracle.remove(&id);
+                }
+                let joined = table.refresh(id, at);
+                prop_assert_eq!(joined, oracle.insert(id, now).is_none());
+            }
+            1 => {
+                table.remove(id);
+                oracle.remove(&id);
+            }
+            3 => {
+                let before = oracle.len();
+                oracle.retain(|_, &mut t| live_at(t, now));
+                prop_assert_eq!(table.purge_expired(at), before - oracle.len());
+            }
+            4 => {
+                let want = oracle.values().filter(|&&t| live_at(t, now)).count();
+                prop_assert_eq!(table.count(at) as usize, want, "count at {}", now);
+            }
+            5 => {
+                let want = oracle.get(&id).is_some_and(|&t| live_at(t, now));
+                prop_assert_eq!(table.is_live(id, at), want);
+            }
+            _ => {
+                let want: Vec<usize> = oracle
+                    .iter()
+                    .filter(|&(_, &t)| live_at(t, now))
+                    .map(|(&id, _)| id)
+                    .collect();
+                prop_assert_eq!(table.live(at).collect::<Vec<_>>(), want);
+            }
+        }
+    }
+    // Once every entry has expired the count is zero and a purge empties
+    // the table, however the clock wandered before.
+    let end = SimTime::from_ticks(latest + SOFT_TTL + 1);
+    prop_assert_eq!(table.count(end), 0);
+    prop_assert_eq!(table.live(end).count(), 0);
+    prop_assert_eq!(table.purge_expired(end), oracle.len());
+    prop_assert_eq!(table.count(SimTime::ZERO), 0, "purged entries are gone");
+    Ok(())
 }

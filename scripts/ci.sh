@@ -14,8 +14,9 @@
 #      regress >25%, the deep-queue stress must stay >= 3x the
 #      BinaryHeap oracle, and the tracing-overhead gate must hold — a
 #      run traced at Info severity (the live-exposition configuration)
-#      must keep >= 0.70x the untraced events/sec (one retry absorbs
-#      shared-runner noise)
+#      must keep >= 0.70x the untraced events/sec, and answering a HELP
+#      with 1024 live memberships must cost <= 2x answering it with 25
+#      (one retry absorbs shared-runner noise)
 #   5. quickstart determinism: two runs, byte-identical stdout
 #   6. lossy-chaos smoke: 10% datagram loss + node strike + link jamming;
 #      asserts graceful degradation, determinism, and finite recovery
@@ -89,13 +90,17 @@ run_bench_smoke() {
 #     Info severity (the live-exposition configuration the cluster
 #     sampler uses) must keep >= 0.70x the untraced events/sec. The
 #     full-Debug ratio rides along in bench_smoke.json ungated.
+#   - HELP-reply flatness gate: ns per HELP reply with 1024 live
+#     memberships over ns with 25 must stay <= 2x (a per-reply scan of
+#     the memberships puts it near 20x)
 check_bench_gates() {
-    local eps base_eps ratio trace_ratio
+    local eps base_eps ratio trace_ratio help_ratio
     eps=$(bench_field results/bench_smoke.json smoke/profile events_per_sec)
     base_eps=$(bench_field results/bench_baseline.json smoke/profile events_per_sec)
     ratio=$(bench_field results/bench_smoke.json smoke/queue_stress speedup_vs_heap)
     trace_ratio=$(bench_field results/bench_smoke.json smoke/trace_overhead traced_over_untraced)
-    awk -v eps="$eps" -v base="$base_eps" -v ratio="$ratio" -v tr="$trace_ratio" 'BEGIN {
+    help_ratio=$(bench_field results/bench_smoke.json smoke/help_reply ratio_1024_over_25)
+    awk -v eps="$eps" -v base="$base_eps" -v ratio="$ratio" -v tr="$trace_ratio" -v hr="$help_ratio" 'BEGIN {
         ok = 1
         if (eps + 0 < 0.75 * base) {
             printf "engine throughput regressed >25%%: %.0f events/s vs committed baseline %.0f\n", eps, base
@@ -107,6 +112,10 @@ check_bench_gates() {
         }
         if (tr == "" || tr + 0 < 0.70) {
             printf "tracing overhead gate: Info-traced run at %.2fx untraced events/sec is below the 0.70x floor\n", tr
+            ok = 0
+        }
+        if (hr == "" || hr + 0 > 2.0) {
+            printf "HELP-reply flatness gate: 1024-membership reply at %.2fx the 25-membership cost exceeds 2x\n", hr
             ok = 0
         }
         exit ok ? 0 : 1
